@@ -1466,21 +1466,9 @@ fn cube_update_experiment() {
         rebuild_s = rebuild_s.min(t0.elapsed().as_secs_f64());
         std::hint::black_box(snap);
     }
-    // For transparency, also time the cube alone (the pre-update artifact,
-    // without the maintenance histograms an updatable snapshot carries).
-    let mut cube_only_rebuild_s = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        std::hint::black_box(builder.build(&full_db).expect("cube builds"));
-        cube_only_rebuild_s = cube_only_rebuild_s.min(t0.elapsed().as_secs_f64());
-    }
 
     println!("rows: {rows}, min_support: {minsup}, cells: {total_cells}");
-    println!(
-        "full snapshot rebuild (serial): {:.1} ms ({:.1} ms cube only)",
-        rebuild_s * 1e3,
-        cube_only_rebuild_s * 1e3
-    );
+    println!("full snapshot rebuild (serial): {:.1} ms", rebuild_s * 1e3);
 
     // Keep only the rows of `full_rel` whose index passes `keep`.
     let filter_rows = |keep: &dyn Fn(usize) -> bool| -> Relation {
@@ -1654,7 +1642,6 @@ fn cube_update_experiment() {
          \"host_threads\": {host_threads},\n  {host},\n  \"dataset\": \"italy\",\n  \
          \"companies\": 4000,\n  \"rows\": {rows},\n  \"min_support\": {minsup},\n  \
          \"total_cells\": {total_cells},\n  \"rebuild_s\": {rebuild_s:.6},\n  \
-         \"cube_only_rebuild_s\": {cube_only_rebuild_s:.6},\n  \
          \"churn\": [\n{churn_json}\n  ]\n}}\n"
     );
     std::fs::write("BENCH_cube_update.json", &json).expect("write BENCH_cube_update.json");

@@ -517,17 +517,15 @@ fn run_save(args: &[String]) -> Result<String> {
     if flags.has("--final-table") {
         if let Some(chunk_rows) = parse_chunk_rows(&flags)? {
             let result = run_final_table_flags_chunked(&flags, chunk_rows)?;
-            let snap = scube::snapshot_chunked(&result)?;
-            snap.save(&path)?;
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            return Ok(format!(
-                "wrote {path}: {} cells over {} units ({} rows, {bytes} bytes, {:?}; {})",
-                result.cube.len(),
-                result.stats.n_units,
-                result.stats.n_rows,
-                result.timings.total(),
-                build_mode_summary(Some(&result.chunk_stats))
-            ));
+            let summary = SaveSummary {
+                cells: result.cube.len(),
+                units: result.stats.n_units,
+                rows: result.stats.n_rows,
+                elapsed: result.timings.total(),
+                mode: build_mode_summary(Some(&result.chunk_stats)),
+            };
+            result.into_snapshot()?.save(&path)?;
+            return Ok(summary.render(&path));
         }
     } else if flags.has("--chunk-rows") {
         return Err(ScubeError::InvalidParameter(
@@ -545,17 +543,35 @@ fn run_save(args: &[String]) -> Result<String> {
         }
         wizard.run()?
     };
-    let snap = scube::snapshot(&result)?;
-    snap.save(&path)?;
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    Ok(format!(
-        "wrote {path}: {} cells over {} units ({} rows, {bytes} bytes, {:?}; {})",
-        result.cube.len(),
-        result.stats.n_units,
-        result.stats.n_rows,
-        result.timings.total(),
-        build_mode_summary(None)
-    ))
+    let summary = SaveSummary {
+        cells: result.cube.len(),
+        units: result.stats.n_units,
+        rows: result.stats.n_rows,
+        elapsed: result.timings.total(),
+        mode: build_mode_summary(None),
+    };
+    result.into_snapshot()?.save(&path)?;
+    Ok(summary.render(&path))
+}
+
+/// What `scube save` reports, captured before the build moves into its
+/// snapshot.
+struct SaveSummary {
+    cells: usize,
+    units: usize,
+    rows: usize,
+    elapsed: std::time::Duration,
+    mode: String,
+}
+
+impl SaveSummary {
+    fn render(&self, path: &str) -> String {
+        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+        format!(
+            "wrote {path}: {} cells over {} units ({} rows, {bytes} bytes, {:?}; {})",
+            self.cells, self.units, self.rows, self.elapsed, self.mode
+        )
+    }
 }
 
 /// `scube update`: fold appended and/or retracted rows into a saved

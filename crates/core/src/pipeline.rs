@@ -49,7 +49,10 @@ impl ScubeConfig {
 /// Everything one pipeline run produces.
 #[derive(Debug)]
 pub struct ScubeResult {
-    /// The segregation data cube.
+    /// The segregation data cube. Fresh from the builder, it carries the
+    /// per-unit histograms its cells were computed from (the sufficient
+    /// statistics an updatable snapshot keeps) until it is paired into a
+    /// snapshot by [`snapshot`] or [`ScubeResult::into_snapshot`].
     pub cube: SegregationCube,
     /// The encoded final table it was built from.
     pub final_table: TransactionDb,
@@ -176,7 +179,10 @@ pub fn run_final_table_csv(
 /// memory is bounded by the *output*, not the input table.
 #[derive(Debug)]
 pub struct ChunkedBuild {
-    /// The segregation data cube.
+    /// The segregation data cube. Fresh from the builder, it carries the
+    /// per-unit histograms its cells were computed from (the sufficient
+    /// statistics an updatable snapshot keeps) until it is paired into a
+    /// snapshot by [`snapshot_chunked`] or [`ChunkedBuild::into_snapshot`].
     pub cube: SegregationCube,
     /// The vertical (item → tidset) view, grown chunk by chunk.
     pub vertical: VerticalDb,
@@ -222,15 +228,26 @@ pub fn run_final_table_csv_chunked(
     Ok(ChunkedBuild { cube: built, vertical, builder: *cube, chunk_stats, timings, stats })
 }
 
+impl ChunkedBuild {
+    /// As [`snapshot_chunked`], by move: the cube, its histograms, and the
+    /// postings go into the snapshot without a copy.
+    pub fn into_snapshot(self) -> Result<CubeSnapshot> {
+        pair(self.cube, self.vertical, &self.builder)
+    }
+}
+
+impl ScubeResult {
+    /// As [`snapshot`], by move: the cube, its histograms, and the
+    /// postings go into the snapshot without a copy.
+    pub fn into_snapshot(self) -> Result<CubeSnapshot> {
+        pair(self.cube, self.vertical, &self.builder)
+    }
+}
+
 /// As [`snapshot`], for a chunked build. Byte-identical to the snapshot of
 /// the equivalent resident run.
 pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
-    let config = result.builder.config();
-    Ok(CubeSnapshot::new(result.cube.clone(), result.vertical.clone())?.with_build_config(
-        config.materialize,
-        config.atkinson_b,
-        config.measures,
-    ))
+    pair(result.cube.clone(), result.vertical.clone(), &result.builder)
 }
 
 /// Package a finished run as a persistable [`CubeSnapshot`]: the cube plus
@@ -239,10 +256,20 @@ pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
 /// [`scube_cube::CubeQueryEngine`] serving without re-mining. The run's
 /// build configuration is recorded in the snapshot, so later updates
 /// maintain the cube under the same materialization and Atkinson
-/// parameter.
+/// parameter. Copies the cube, its histograms, and the postings, leaving
+/// `result` usable; [`ScubeResult::into_snapshot`] moves them instead.
 pub fn snapshot(result: &ScubeResult) -> Result<CubeSnapshot> {
-    let config = result.builder.config();
-    Ok(CubeSnapshot::new(result.cube.clone(), result.vertical.clone())?.with_build_config(
+    pair(result.cube.clone(), result.vertical.clone(), &result.builder)
+}
+
+/// Pair a built cube with its postings under the builder's configuration.
+fn pair(
+    cube: SegregationCube,
+    vertical: VerticalDb,
+    builder: &CubeBuilder,
+) -> Result<CubeSnapshot> {
+    let config = builder.config();
+    Ok(CubeSnapshot::new(cube, vertical)?.with_build_config(
         config.materialize,
         config.atkinson_b,
         config.measures,

@@ -14,24 +14,35 @@
 //!    already mined), so no posting is ever re-intersected; histograms are
 //!    computed once per distinct context and cached as compact
 //!    `(unit, total)` lists;
-//! 4. evaluate all six indexes per cell ([`IndexValues`]) into per-worker
-//!    reusable [`UnitScratch`] histograms, iterating only the context's
-//!    populated units — O(Σ|tidset| + Σ|touched|) overall instead of
-//!    O(cells × n_units) — chunked over `std::thread::scope` when
-//!    `parallel` is on.
+//! 4. histogram each cell's minority tidset once, through a per-worker
+//!    reusable [`scube_data::UnitScratch`], into a compact `(unit,
+//!    minority)` list (`A = ⋆` cells reuse their context's list), and fold
+//!    the selected indexes ([`IndexValues`]) from the two lists with the
+//!    one evaluator build and update share — O(Σ|tidset| + Σ|touched|)
+//!    overall instead of O(cells × n_units). When `parallel` is on,
+//!    `std::thread::scope` workers pull cells off a shared queue, which
+//!    balances cells of very uneven cost. Each cell's tidset moves into its
+//!    worker and is freed once it is histogrammed;
+//! 5. emit the sufficient statistics: the context and minority lists of
+//!    steps 3–4 *are* the maintenance store an updatable snapshot keeps.
+//!    It rides on the returned cube until [`crate::CubeSnapshot::new`]
+//!    moves it in, so pairing a fresh cube with its postings runs no
+//!    second histogram pass.
 //!
 //! The parallel build is bit-identical to the serial one: the miner merges
 //! per-subtree outputs deterministically and cell evaluation is pure.
 
 use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
-use scube_data::{ItemId, TableMeta, TransactionDb, UnitScratch, VerticalDb};
+use scube_data::{ItemId, TableMeta, TransactionDb, VerticalDb};
 use scube_fpm::eclat::{mine_vertical_with_tidsets, mine_vertical_with_tidsets_parallel};
 use scube_fpm::itemset::FrequentItemset;
-use scube_segindex::{IndexValues, MeasureSet, UnitCounts, DEFAULT_ATKINSON_B};
+use scube_segindex::{IndexValues, MeasureSet, DEFAULT_ATKINSON_B};
 
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::eval::{histogram, par_map, values_from_hists, Hist};
+use crate::update::MaintenanceStore;
 
 /// Cell materialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,10 +88,6 @@ impl Default for CubeConfig {
         }
     }
 }
-
-/// Compact per-context population histogram: ascending `(unit, total)`
-/// pairs over the context's populated units only.
-type ContextHist = Vec<(u32, u64)>;
 
 /// Builds [`SegregationCube`]s.
 ///
@@ -225,14 +232,14 @@ impl CubeBuilder {
 
         // 1-2. Mine frequent itemsets with tidsets (fanning prefix subtrees
         // out over workers when parallel; both paths are bit-identical).
-        let mut mined: Vec<(FrequentItemset, P)> = if n_threads > 1 {
+        let mined: Vec<(FrequentItemset, P)> = if n_threads > 1 {
             mine_vertical_with_tidsets_parallel(vertical, cfg.min_support, n_threads)?
         } else {
             mine_vertical_with_tidsets(vertical, cfg.min_support)?
         };
 
         // 3. Split every itemset into (A, B) coordinates by attribute role.
-        let mut splits: Vec<CellCoords> = mined
+        let splits: Vec<CellCoords> = mined
             .iter()
             .map(|(set, _)| CellCoords::split_sorted(&set.items, |it| labels.is_sa_item(it)))
             .collect();
@@ -250,13 +257,6 @@ impl CubeBuilder {
             mask
         });
 
-        // Population histogram (context ⋆).
-        let n_units = vertical.num_units() as usize;
-        let mut population = vec![0u64; n_units];
-        for &u in vertical.units() {
-            population[u as usize] += 1;
-        }
-
         // Every context B of a cell (A, B) is a subset of the cell's
         // itemset, hence frequent and already mined with its tidset: index
         // the pure-context itemsets instead of re-intersecting postings.
@@ -267,144 +267,82 @@ impl CubeBuilder {
             }
         }
 
-        // Distinct contexts referenced by surviving cells, in first-seen
-        // order (deterministic for the parallel chunking below).
-        let mut distinct_contexts: Vec<&CellCoords> = Vec::new();
+        // Distinct contexts referenced by surviving cells, the apex's ⋆
+        // context included.
+        let apex = CellCoords::apex();
+        let mut distinct_contexts: Vec<&CellCoords> = vec![&apex];
         let mut seen_contexts: FxHashSet<&[ItemId]> = FxHashSet::default();
+        seen_contexts.insert(&[]);
         for (i, coords) in splits.iter().enumerate() {
             if keep.as_ref().is_some_and(|mask| !mask[i]) {
                 continue;
             }
-            if !coords.ca.is_empty() && seen_contexts.insert(coords.ca.as_slice()) {
+            if seen_contexts.insert(coords.ca.as_slice()) {
                 distinct_contexts.push(coords);
             }
         }
 
-        // Per-context histograms as compact ascending (unit, total) lists,
-        // computed in parallel with per-worker scratch buffers.
-        let hist_of = |coords: &CellCoords, scratch: &mut UnitScratch| -> ContextHist {
-            match context_source.get(coords.ca.as_slice()) {
-                Some(tids) => {
-                    vertical.unit_histogram_into(tids, scratch);
-                    scratch.sorted_pairs()
-                }
-                // Unreachable for miner-produced cells; kept as a safety
-                // net for exotic materializations.
-                None => {
-                    vertical.unit_histogram_into(&vertical.tidset(&coords.ca), scratch);
-                    scratch.sorted_pairs()
-                }
-            }
-        };
-        let mut context_hists: FxHashMap<Vec<ItemId>, ContextHist> =
-            scube_common::hash::fx_map_with_capacity(distinct_contexts.len() + 1);
-        context_hists.insert(
-            Vec::new(),
-            population
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| t > 0)
-                .map(|(u, &t)| (u as u32, t))
-                .collect(),
-        );
-        if n_threads > 1 && distinct_contexts.len() > 64 {
-            let chunk = distinct_contexts.len().div_ceil(n_threads);
-            let results: Vec<Vec<(Vec<ItemId>, ContextHist)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = distinct_contexts
-                    .chunks(chunk)
-                    .map(|ctx_chunk| {
-                        let hist_of = &hist_of;
-                        scope.spawn(move || {
-                            let mut scratch = UnitScratch::new(n_units as u32);
-                            ctx_chunk
-                                .iter()
-                                .map(|coords| (coords.ca.clone(), hist_of(coords, &mut scratch)))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-            for r in results {
-                context_hists.extend(r);
-            }
-        } else {
-            let mut scratch = UnitScratch::new(n_units as u32);
-            for coords in &distinct_contexts {
-                context_hists.insert(coords.ca.clone(), hist_of(coords, &mut scratch));
-            }
-        }
-        drop(distinct_contexts);
-        drop(seen_contexts);
+        // Per-context histograms, computed in parallel with per-worker
+        // scratch buffers.
+        let n_units = vertical.num_units();
+        let contexts: FxHashMap<Vec<ItemId>, Hist> =
+            par_map(distinct_contexts, n_threads, 64, n_units, |coords, scratch| {
+                let hist = match context_source.get(coords.ca.as_slice()) {
+                    Some(tids) => histogram(vertical, tids, scratch),
+                    // ⋆ (the whole population), and a safety net for any
+                    // context the miner did not emit.
+                    None => histogram(vertical, &vertical.tidset(&coords.ca), scratch),
+                };
+                Ok((coords.ca.clone(), hist))
+            })?
+            .into_iter()
+            .collect();
         drop(context_source);
 
-        // Apply the ClosedOnly filter now that contexts are harvested.
-        if let Some(mask) = keep {
-            let mut keep_iter = mask.iter();
-            mined.retain(|_| *keep_iter.next().expect("mask covers mined"));
-            let mut keep_iter = mask.iter();
-            splits.retain(|_| *keep_iter.next().expect("mask covers splits"));
-        }
+        // Hand each surviving cell its tidset by value (the ClosedOnly
+        // filter applies now that contexts are harvested): a tidset is
+        // freed as soon as its worker has histogrammed it.
+        let owned: Vec<(CellCoords, P)> = mined
+            .into_iter()
+            .zip(splits)
+            .enumerate()
+            .filter(|(i, _)| keep.as_ref().is_none_or(|mask| mask[*i]))
+            .map(|(_, ((_, tids), coords))| (coords, tids))
+            .collect();
 
-        // 4. Evaluate cells: per-worker scratch histograms, iterating only
-        // the context's populated units.
-        let atkinson_b = cfg.atkinson_b;
-        let measures = cfg.measures;
-        let eval =
-            |coords: &CellCoords, tids: &P, scratch: &mut UnitScratch| -> Result<IndexValues> {
-                vertical.unit_histogram_into(tids, scratch);
-                let total = &context_hists[&coords.ca];
-                let counts = UnitCounts::from_triples(
-                    total.iter().map(|&(u, t)| (u, scratch.count_of(u), t)),
-                )?;
-                Ok(IndexValues::compute_masked(&counts, atkinson_b, measures))
-            };
+        // 4. Evaluate cells: one minority histogram per non-⋆-SA cell,
+        // folded against its context's populated units.
+        let (atkinson_b, measures) = (cfg.atkinson_b, cfg.measures);
+        let evaluated = par_map(owned, n_threads, 256, n_units, |(coords, tids), scratch| {
+            let context = &contexts[&coords.ca];
+            if coords.sa.is_empty() {
+                // `A = ⋆`: the minority is the context itself.
+                let values = values_from_hists(context, context, atkinson_b, measures)?;
+                return Ok((coords, values, None));
+            }
+            let minority = histogram(vertical, &tids, scratch);
+            let values = values_from_hists(context, &minority, atkinson_b, measures)?;
+            Ok((coords, values, Some(minority)))
+        })?;
 
+        // 5. Emit the maintenance store alongside the cells.
         let mut cells: FxHashMap<CellCoords, IndexValues> =
-            scube_common::hash::fx_map_with_capacity(mined.len() + 1);
-        if n_threads > 1 && mined.len() > 256 {
-            let chunk = mined.len().div_ceil(n_threads);
-            let results: Vec<Result<Vec<(CellCoords, IndexValues)>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = mined
-                        .chunks(chunk)
-                        .zip(splits.chunks(chunk))
-                        .map(|(mined_chunk, split_chunk)| {
-                            let eval = &eval;
-                            scope.spawn(move || {
-                                let mut scratch = UnitScratch::new(n_units as u32);
-                                mined_chunk
-                                    .iter()
-                                    .zip(split_chunk.iter())
-                                    .map(|((_, tids), coords)| {
-                                        Ok((coords.clone(), eval(coords, tids, &mut scratch)?))
-                                    })
-                                    .collect()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-                });
-            for r in results {
-                cells.extend(r?);
+            scube_common::hash::fx_map_with_capacity(evaluated.len() + 1);
+        let mut minorities: FxHashMap<CellCoords, Hist> =
+            scube_common::hash::fx_map_with_capacity(evaluated.len());
+        for (coords, values, minority) in evaluated {
+            if let Some(minority) = minority {
+                minorities.insert(coords.clone(), minority);
             }
-        } else {
-            let mut scratch = UnitScratch::new(n_units as u32);
-            for ((_, tids), coords) in mined.iter().zip(splits.iter()) {
-                cells.insert(coords.clone(), eval(coords, tids, &mut scratch)?);
-            }
+            cells.insert(coords, values);
         }
+        // Apex cell (⋆ | ⋆): the whole population against itself.
+        let population = &contexts[&apex.ca];
+        let values = values_from_hists(population, population, atkinson_b, measures)?;
+        cells.insert(apex, values);
 
-        // Apex cell (⋆ | ⋆): whole population vs itself.
-        let apex_counts = UnitCounts::from_triples(
-            population.iter().enumerate().filter(|&(_, &t)| t > 0).map(|(u, &t)| (u as u32, t, t)),
-        )?;
-        cells.insert(
-            CellCoords::apex(),
-            IndexValues::compute_masked(&apex_counts, atkinson_b, measures),
-        );
-
-        Ok(SegregationCube::new(cells, labels, vertical.num_units(), cfg.min_support))
+        let store = MaintenanceStore { contexts, minorities, lazy: None };
+        Ok(SegregationCube::new(cells, labels, n_units, cfg.min_support).with_store(store))
     }
 }
 

@@ -5,6 +5,7 @@ use scube_data::{ItemId, TransactionDb};
 use scube_segindex::IndexValues;
 
 use crate::coords::CellCoords;
+use crate::update::MaintenanceStore;
 
 /// Self-describing label set copied from the source database, so a cube can
 /// be rendered (or serialized) after the database is gone.
@@ -126,12 +127,26 @@ impl CubeLabels {
 }
 
 /// A materialized segregation data cube.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A cube fresh from [`crate::CubeBuilder`] also carries the integer
+/// per-unit histograms its cells were folded from (the sufficient
+/// statistics an updatable snapshot keeps), until
+/// [`crate::CubeSnapshot::new`] moves them into a snapshot. They take no
+/// part in equality and are never serialized.
+#[derive(Debug, Clone)]
 pub struct SegregationCube {
     cells: FxHashMap<CellCoords, IndexValues>,
     labels: CubeLabels,
     n_units: u32,
     min_support: u64,
+    store: Option<MaintenanceStore>,
+}
+
+impl PartialEq for SegregationCube {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.cells, &self.labels, self.n_units, self.min_support)
+            == (&other.cells, &other.labels, other.n_units, other.min_support)
+    }
 }
 
 impl SegregationCube {
@@ -141,7 +156,19 @@ impl SegregationCube {
         n_units: u32,
         min_support: u64,
     ) -> Self {
-        SegregationCube { cells, labels, n_units, min_support }
+        SegregationCube { cells, labels, n_units, min_support, store: None }
+    }
+
+    /// Attach the sufficient statistics the builder emitted with the cells.
+    pub(crate) fn with_store(mut self, store: MaintenanceStore) -> Self {
+        self.store = Some(store);
+        self
+    }
+
+    /// Detach the builder-emitted sufficient statistics, if the cube
+    /// carries them.
+    pub(crate) fn take_store(&mut self) -> Option<MaintenanceStore> {
+        self.store.take()
     }
 
     /// Number of materialized cells.

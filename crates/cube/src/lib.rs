@@ -43,6 +43,7 @@
 pub mod builder;
 pub mod coords;
 pub mod cube;
+mod eval;
 pub mod explore;
 pub mod query;
 pub mod report;

@@ -96,12 +96,13 @@ use std::sync::Arc;
 use scube_bitmap::{EwahBitmap, Posting};
 use scube_common::mmap::{ByteRegion, MmapFile};
 use scube_common::{FxHashMap, Result, ScubeError};
-use scube_data::{ItemId, TransactionDb, VerticalDb};
+use scube_data::{ItemId, TransactionDb, UnitScratch, VerticalDb};
 use scube_segindex::{IndexValues, MeasureSet, DEFAULT_ATKINSON_B};
 
 use crate::builder::{CubeBuilder, Materialize};
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::eval::histogram;
 use crate::update::{MaintenanceStore, UpdateBatch, UpdateOutcome, UpdateStats};
 
 const MAGIC: &[u8; 8] = b"SCUBESNP";
@@ -180,6 +181,31 @@ pub(crate) struct LazyStore {
 }
 
 impl MaintenanceStore {
+    /// The store of a cube that carries none — a v1 file, which predates
+    /// the store, or a cube taken apart with [`CubeSnapshot::into_parts`]:
+    /// every context and every non-`⋆`-SA cell tidset re-intersected from
+    /// the postings and histogrammed by [`histogram`], the routine the
+    /// builder emits the store with.
+    fn rederive<P: Posting>(cube: &SegregationCube, vertical: &VerticalDb<P>) -> Self {
+        let mut scratch = UnitScratch::new(vertical.num_units());
+        let mut store = MaintenanceStore::default();
+        let mut context_tids: FxHashMap<&[ItemId], P> = FxHashMap::default();
+        for (coords, _) in cube.cells() {
+            if !context_tids.contains_key(coords.ca.as_slice()) {
+                let tids = vertical.tidset(&coords.ca);
+                store.contexts.insert(coords.ca.clone(), histogram(vertical, &tids, &mut scratch));
+                context_tids.insert(&coords.ca, tids);
+            }
+        }
+        for (coords, _) in cube.cells().filter(|(coords, _)| !coords.sa.is_empty()) {
+            let mut refs: Vec<&P> = vec![&context_tids[coords.ca.as_slice()]];
+            refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
+            let tids = P::intersect_many(&refs).expect("context plus non-empty SA side");
+            store.minorities.insert(coords.clone(), histogram(vertical, &tids, &mut scratch));
+        }
+        store
+    }
+
     /// A store whose entries all still live in a mapped region,
     /// undecoded and unscanned.
     pub(crate) fn deferred(region: ByteRegion, n_items: usize, n_units: u32) -> Self {
@@ -298,12 +324,22 @@ impl MaintenanceStore {
 impl<P: Posting> CubeSnapshot<P> {
     /// Pair a cube with its vertical database.
     ///
+    /// A cube fresh from [`CubeBuilder`] carries the per-unit histograms
+    /// its build computed; they move in as the snapshot's maintenance
+    /// store, so pairing runs no histogram pass. Pass the vertical
+    /// database the cube was built over. A cube without them (one taken
+    /// apart with [`Self::into_parts`]) has them re-derived from `vertical`.
+    ///
     /// Fails when the two disagree on shape (unit count, item count): a
     /// mismatched pairing would serve materialized lookups from one dataset
     /// and explorer fallbacks from another.
-    pub fn new(cube: SegregationCube, vertical: VerticalDb<P>) -> Result<Self> {
+    pub fn new(mut cube: SegregationCube, vertical: VerticalDb<P>) -> Result<Self> {
         Self::validate_pairing(&cube, &vertical)?;
-        let maintenance = MaintenanceStore::compute(&cube, &vertical);
+        let maintenance = match cube.take_store() {
+            Some(store) => store,
+            None => MaintenanceStore::rederive(&cube, &vertical),
+        };
+        debug_assert!(maintenance.covers(&cube), "the store covers the cube it came with");
         Ok(CubeSnapshot {
             cube,
             vertical,
@@ -496,7 +532,9 @@ impl<P: Posting> CubeSnapshot<P> {
         &self.vertical
     }
 
-    /// Take ownership of both halves.
+    /// Take ownership of both halves. The cube comes back without the
+    /// maintenance store; pairing it again with [`Self::new`] re-derives
+    /// the store from the postings.
     pub fn into_parts(self) -> (SegregationCube, VerticalDb<P>) {
         (self.cube, self.vertical)
     }
@@ -767,7 +805,7 @@ impl<P: Posting> CubeSnapshot<P> {
                 }
                 store
             }
-            None => MaintenanceStore::compute(&cube, &vertical),
+            None => MaintenanceStore::rederive(&cube, &vertical),
         };
         Ok(CubeSnapshot {
             cube,
@@ -1536,6 +1574,26 @@ mod tests {
             b.add_row(&[vec![s], vec![a], vec![r]], u).unwrap();
         }
         b.finish()
+    }
+
+    #[test]
+    fn built_cube_carries_its_store_into_the_snapshot() {
+        let db = db();
+        for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
+            let vertical: VerticalDb = VerticalDb::build(&db);
+            let builder = CubeBuilder::new().materialize(materialize);
+            let mut cube = builder.build_from_vertical(&db, &vertical).unwrap();
+            let store = cube.take_store().expect("the builder emits the store");
+            assert!(store.covers(&cube), "{materialize:?}");
+            let rederived = MaintenanceStore::rederive(&cube, &vertical);
+            assert_eq!(store.contexts, rederived.contexts, "{materialize:?}");
+            assert_eq!(store.minorities, rederived.minorities, "{materialize:?}");
+            // Pairing moves the store out of the cube.
+            let cube = builder.build_from_vertical(&db, &vertical).unwrap();
+            let snap = CubeSnapshot::new(cube, vertical).unwrap();
+            let (mut cube, _) = snap.into_parts();
+            assert!(cube.take_store().is_none(), "{materialize:?}");
+        }
     }
 
     fn roundtrip<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>() {

@@ -42,11 +42,12 @@
 //! All histogram staging — including the dominated subtraction, which hard-
 //! errors on underflow — happens **before** any mutation, so a rejected
 //! batch or an inconsistent store leaves the snapshot untouched, byte for
-//! byte. Dirty cells are re-evaluated with the same [`UnitScratch`]
-//! machinery as [`crate::builder::CubeBuilder`] — identical integer
+//! byte. Dirty and promoted cells are re-evaluated by the one evaluator
+//! [`crate::builder::CubeBuilder`] folds every cell with — identical integer
 //! histograms, hence identical index values — and large dirty sets fan out
-//! over scoped worker threads with per-worker scratches (cell evaluation is
-//! pure, so the parallel update is bit-identical to the serial one).
+//! over the same scoped worker pass with per-worker scratches (cell
+//! evaluation is pure, so the parallel update is bit-identical to the
+//! serial one).
 //!
 //! **Dictionary maintenance.** Appends extend the label dictionary at the
 //! tail in first-seen order, matching a rebuild on base-then-delta rows.
@@ -67,11 +68,12 @@ use scube_bitmap::Posting;
 use scube_common::{FxHashMap, FxHashSet, Result, ScubeError};
 use scube_data::{ItemId, Relation, UnitId, UnitScratch, VerticalDb, MULTI_VALUE_SEPARATOR};
 use scube_fpm::eclat::mine_vertical_with_tidsets_scoped;
-use scube_segindex::{IndexValues, MeasureSet, UnitCounts};
+use scube_segindex::{IndexValues, MeasureSet};
 
 use crate::builder::Materialize;
 use crate::coords::CellCoords;
 use crate::cube::{CubeLabels, SegregationCube};
+use crate::eval::{histogram, par_map, values_from_hists};
 
 /// Widest frequent-item row projection whose subsets are enumerated
 /// directly; wider rows fall back to the scoped Eclat re-mine.
@@ -412,12 +414,18 @@ fn encode_batch(batch: &UpdateBatch, labels: &CubeLabels) -> Result<EncodedBatch
 /// re-evaluation from `O(Σ |full tidset|)` into `O(Σ |delta tidset| +
 /// dirty cells × populated units)`.
 ///
+/// The builder emits it from the same histograms it folds the cell values
+/// from (its step 5), so it exists from the moment a cube is built: it
+/// rides on the [`SegregationCube`] until
+/// [`crate::snapshot::CubeSnapshot::new`] moves it into the snapshot. Only
+/// a cube without one — a v1 file, which predates the store, or a cube
+/// taken apart with `into_parts` — has it re-derived from the postings.
+///
 /// Persisted since snapshot format v2 (canonical order: contexts by item
 /// list, cells by coordinates) so a loaded snapshot is immediately
-/// updatable; v1 files reconstruct it on load. Counts are exact integers,
-/// so retractions *subtract* as losslessly as appends add — with a
-/// domination check turning any disagreement between store and delta into
-/// a hard error before mutation.
+/// updatable. Counts are exact integers, so retractions *subtract* as
+/// losslessly as appends add — with a domination check turning any
+/// disagreement between store and delta into a hard error before mutation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaintenanceStore {
     /// Distinct cell contexts → ascending `(unit, total)` pairs.
@@ -434,33 +442,6 @@ pub(crate) struct MaintenanceStore {
 }
 
 impl MaintenanceStore {
-    /// Derive the store from scratch — what [`crate::snapshot::CubeSnapshot::new`]
-    /// does when pairing a cube with its vertical database, and what v1
-    /// snapshot files (which predate the store) do on load.
-    pub(crate) fn compute<P: Posting>(cube: &SegregationCube, vertical: &VerticalDb<P>) -> Self {
-        let mut scratch = UnitScratch::new(vertical.num_units());
-        let mut contexts: FxHashMap<Vec<ItemId>, Vec<(u32, u64)>> = FxHashMap::default();
-        let mut context_tids: FxHashMap<Vec<ItemId>, P> = FxHashMap::default();
-        for (coords, _) in cube.cells() {
-            if !contexts.contains_key(&coords.ca) {
-                let tids = vertical.tidset(&coords.ca);
-                vertical.unit_histogram_into(&tids, &mut scratch);
-                contexts.insert(coords.ca.clone(), scratch.sorted_pairs());
-                context_tids.insert(coords.ca.clone(), tids);
-            }
-        }
-        let mut minorities: FxHashMap<CellCoords, Vec<(u32, u64)>> = FxHashMap::default();
-        for (coords, _) in cube.cells() {
-            if coords.sa.is_empty() {
-                continue;
-            }
-            let tids = minority_tidset(vertical, &context_tids, coords);
-            vertical.unit_histogram_into(&tids, &mut scratch);
-            minorities.insert(coords.clone(), scratch.sorted_pairs());
-        }
-        MaintenanceStore { contexts, minorities, lazy: None }
-    }
-
     /// Structural consistency against a cube: every cell's context has
     /// totals, every non-`⋆`-SA cell has minority counts dominated by its
     /// context's totals (minority units are populated units with
@@ -635,30 +616,6 @@ fn merge_sub(base: &mut Vec<(u32, u64)>, delta: &[(u32, u64)]) -> Result<()> {
     }
     *base = out;
     Ok(())
-}
-
-/// Index values from stored histograms: triples over the context's
-/// populated units in ascending order, minority counts merged in (absent
-/// unit ⇒ 0) — the same integer sequence the builder feeds
-/// [`UnitCounts::from_triples`].
-fn values_from_hists(
-    context: &[(u32, u64)],
-    minority: &[(u32, u64)],
-    atkinson_b: f64,
-    measures: MeasureSet,
-) -> Result<IndexValues> {
-    let mut mi = minority.iter().peekable();
-    let counts = UnitCounts::from_triples(context.iter().map(|&(u, t)| {
-        let m = match mi.peek() {
-            Some(&&(mu, mc)) if mu == u => {
-                mi.next();
-                mc
-            }
-            _ => 0,
-        };
-        (u, m, t)
-    }))?;
-    Ok(IndexValues::compute_masked(&counts, atkinson_b, measures))
 }
 
 /// Tidset and support of `items` over the full postings, intersecting
@@ -1184,8 +1141,8 @@ pub(crate) fn apply_update<P: Posting + Send + Sync>(
                 }
             }
             let totals = reorder_units(&sc.totals, unit_remap);
-            let counts = UnitCounts::from_triples(totals.iter().map(|&(u, t)| (u, t, t)))?;
-            Ok(CellFate::Keep(None, IndexValues::compute_masked(&counts, atkinson_b, measures)))
+            let values = values_from_hists(&totals, &totals, atkinson_b, measures)?;
+            Ok(CellFate::Keep(None, values))
         } else {
             let mut minority = store
                 .minorities
@@ -1252,34 +1209,11 @@ pub(crate) fn apply_update<P: Posting + Send + Sync>(
             Ok(CellFate::Keep(Some(minority), values))
         }
     };
-    let n_workers = threads.max(1).min(dirty_cells.len().max(1));
-    let fates: Vec<(CellCoords, CellFate)> = if n_workers > 1 && dirty_cells.len() >= 64 {
-        let chunk = dirty_cells.len().div_ceil(n_workers);
-        let results: Vec<Result<Vec<(CellCoords, CellFate)>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = dirty_cells
-                .chunks(chunk)
-                .map(|cells| {
-                    let eval_one = &eval_one;
-                    scope.spawn(move || {
-                        let mut scratch = UnitScratch::new(n_units_after);
-                        cells.iter().map(|c| Ok((c.clone(), eval_one(c, &mut scratch)?))).collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("update worker panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(dirty_cells.len());
-        for r in results {
-            out.extend(r?);
-        }
-        out
-    } else {
-        let mut scratch = UnitScratch::new(n_units_after);
-        dirty_cells
-            .iter()
-            .map(|c| Ok((c.clone(), eval_one(c, &mut scratch)?)))
-            .collect::<Result<Vec<_>>>()?
-    };
+    let fates: Vec<(CellCoords, CellFate)> =
+        par_map(dirty_cells, threads, 64, n_units_after, |coords, scratch| {
+            let fate = eval_one(&coords, scratch)?;
+            Ok((coords, fate))
+        })?;
 
     // ---- Commit. Everything below applies already-validated state. ----
     let mut stats = UpdateStats {
@@ -1549,18 +1483,14 @@ pub(crate) fn apply_update<P: Posting + Send + Sync>(
         // decode it rather than re-deriving the totals from full postings.
         store.ensure_context(&coords.ca)?;
         if !store.contexts.contains_key(&coords.ca) {
-            let ctx_tids = vertical.tidset(&coords.ca);
-            vertical.unit_histogram_into(&ctx_tids, &mut scratch);
-            let pairs = scratch.sorted_pairs();
-            store.insert_context(coords.ca.clone(), pairs);
+            let totals = histogram(vertical, &vertical.tidset(&coords.ca), &mut scratch);
+            store.insert_context(coords.ca.clone(), totals);
         }
         let totals = &store.contexts[&coords.ca];
         let values = if coords.sa.is_empty() {
-            let counts = UnitCounts::from_triples(totals.iter().map(|&(u, t)| (u, t, t)))?;
-            IndexValues::compute_masked(&counts, atkinson_b, measures)
+            values_from_hists(totals, totals, atkinson_b, measures)?
         } else {
-            vertical.unit_histogram_into(&tids, &mut scratch);
-            let minority = scratch.sorted_pairs();
+            let minority = histogram(vertical, &tids, &mut scratch);
             let values = values_from_hists(totals, &minority, atkinson_b, measures)?;
             store.minorities.insert(coords.clone(), minority);
             values
@@ -1600,22 +1530,6 @@ fn split_by_labels(items: &[ItemId], labels: &CubeLabels) -> CellCoords {
 fn is_sorted_subset(a: &[ItemId], b: &[ItemId]) -> bool {
     let mut it = b.iter();
     a.iter().all(|x| it.by_ref().any(|y| y == x))
-}
-
-/// Minority tidset of a cell, reusing the cached context tidset (`⋆`
-/// contexts intersect the SA postings directly).
-fn minority_tidset<P: Posting>(
-    vertical: &VerticalDb<P>,
-    context_tids: &FxHashMap<Vec<ItemId>, P>,
-    coords: &CellCoords,
-) -> P {
-    if coords.ca.is_empty() {
-        return vertical.tidset(&coords.sa);
-    }
-    let mut refs: Vec<&P> = Vec::with_capacity(1 + coords.sa.len());
-    refs.push(&context_tids[&coords.ca]);
-    refs.extend(coords.sa.iter().map(|&item| vertical.posting(item)));
-    P::intersect_many(&refs).expect("context plus non-empty SA side")
 }
 
 /// Exact closedness of a promotion candidate in the grown database, using
