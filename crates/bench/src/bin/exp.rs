@@ -933,22 +933,15 @@ fn cube_scale_experiment(smoke: bool) {
 
         // Chunked bounded-memory build (every scale): CSV rows stream in
         // tid-order chunks straight into the vertical postings, the cube
-        // mines from them, and the snapshot is assembled by move (the
-        // `snapshot_chunked` helper clones, which would inflate the peak
-        // measurement). Peak allocation here is bounded by the output
-        // (postings + cube) plus one staged chunk — not the input table.
+        // mines from them, and the snapshot is assembled by move. Peak
+        // allocation here is bounded by the output (postings + cube) plus
+        // one staged chunk — not the input table.
         let t0 = Instant::now();
         let (chunked, chunked_peak) = scube_bench::alloc::measure(|| {
             let cb = run_final_table_csv_chunked(&csv, &spec, &builder, chunk_rows)
                 .expect("chunked build");
             assert_eq!(cb.stats.n_rows, rows, "chunked ingest must see every emitted row");
-            let ChunkedBuild { cube, vertical, .. } = cb;
-            let config = builder.config();
-            CubeSnapshot::new(cube, vertical).expect("snapshot assembles").with_build_config(
-                config.materialize,
-                config.atkinson_b,
-                config.measures,
-            )
+            snapshot_chunked(cb).expect("snapshot assembles")
         });
         let chunked_build_s = t0.elapsed().as_secs_f64();
         let cells = chunked.cube().len();

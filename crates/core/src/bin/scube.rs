@@ -389,16 +389,22 @@ fn parse_chunk_rows(flags: &Flags) -> Result<Option<usize>> {
 
 /// The `--final-table` tabular shortcut: stream the CSV straight through
 /// the dictionary encoder (bounded staging memory) and build the cube.
-fn run_final_table_flags(flags: &Flags) -> Result<ScubeResult> {
+/// A `report_only` build keeps no maintenance store (see
+/// [`CubeBuilder::report_only`]); `run` reports, `save` pairs.
+fn run_final_table_flags(flags: &Flags, report_only: bool) -> Result<ScubeResult> {
     let (path, spec, cube) = final_table_flags(flags)?;
-    scube::run_final_table_csv(path, &spec, &cube)
+    scube::run_final_table_csv(path, &spec, &cube.report_only(report_only))
 }
 
 /// As [`run_final_table_flags`], via the chunked builder: the horizontal
 /// table is never materialized, peak memory is postings + one chunk.
-fn run_final_table_flags_chunked(flags: &Flags, chunk_rows: usize) -> Result<ChunkedBuild> {
+fn run_final_table_flags_chunked(
+    flags: &Flags,
+    chunk_rows: usize,
+    report_only: bool,
+) -> Result<ChunkedBuild> {
     let (path, spec, cube) = final_table_flags(flags)?;
-    scube::run_final_table_csv_chunked(path, &spec, &cube, chunk_rows)
+    scube::run_final_table_csv_chunked(path, &spec, &cube.report_only(report_only), chunk_rows)
 }
 
 /// The build-mode suffix of run/save summary lines: chunked runs report
@@ -456,7 +462,7 @@ fn run(args: &[String]) -> Result<String> {
 
     if flags.has("--final-table") {
         if let Some(chunk_rows) = parse_chunk_rows(&flags)? {
-            let result = run_final_table_flags_chunked(&flags, chunk_rows)?;
+            let result = run_final_table_flags_chunked(&flags, chunk_rows, true)?;
             Visualizer::new(&out_dir).rank_by(rank).write_chunked(&result)?;
             return Ok(format!(
                 "wrote {out_dir}: {} rows, {} units, {} cells ({:?}; {})",
@@ -467,7 +473,7 @@ fn run(args: &[String]) -> Result<String> {
                 build_mode_summary(Some(&result.chunk_stats))
             ));
         }
-        let result = run_final_table_flags(&flags)?;
+        let result = run_final_table_flags(&flags, true)?;
         Visualizer::new(&out_dir).rank_by(rank).write_all(&result)?;
         return Ok(format!(
             "wrote {out_dir}: {} rows, {} units, {} cells ({:?}; {})",
@@ -486,7 +492,7 @@ fn run(args: &[String]) -> Result<String> {
     let (wizard, dates) = wizard_from_flags(&flags)?;
 
     if dates.is_empty() {
-        let result = wizard.run()?;
+        let result = wizard.report_only(true).run()?;
         Visualizer::new(&out_dir).rank_by(rank).write_all(&result)?;
         Ok(format!(
             "wrote {out_dir}: {} rows, {} units, {} cells ({:?})",
@@ -516,7 +522,7 @@ fn run_save(args: &[String]) -> Result<String> {
     let path = flags.require("--snapshot")?.to_string();
     if flags.has("--final-table") {
         if let Some(chunk_rows) = parse_chunk_rows(&flags)? {
-            let result = run_final_table_flags_chunked(&flags, chunk_rows)?;
+            let result = run_final_table_flags_chunked(&flags, chunk_rows, false)?;
             let summary = SaveSummary {
                 cells: result.cube.len(),
                 units: result.stats.n_units,
@@ -524,7 +530,7 @@ fn run_save(args: &[String]) -> Result<String> {
                 elapsed: result.timings.total(),
                 mode: build_mode_summary(Some(&result.chunk_stats)),
             };
-            result.into_snapshot()?.save(&path)?;
+            scube::snapshot_chunked(result)?.save(&path)?;
             return Ok(summary.render(&path));
         }
     } else if flags.has("--chunk-rows") {
@@ -533,7 +539,7 @@ fn run_save(args: &[String]) -> Result<String> {
         ));
     }
     let result = if flags.has("--final-table") {
-        run_final_table_flags(&flags)?
+        run_final_table_flags(&flags, false)?
     } else {
         let (wizard, dates) = wizard_from_flags(&flags)?;
         if !dates.is_empty() {
@@ -550,7 +556,7 @@ fn run_save(args: &[String]) -> Result<String> {
         elapsed: result.timings.total(),
         mode: build_mode_summary(None),
     };
-    result.into_snapshot()?.save(&path)?;
+    scube::snapshot(result)?.save(&path)?;
     Ok(summary.render(&path))
 }
 

@@ -51,8 +51,8 @@ impl ScubeConfig {
 pub struct ScubeResult {
     /// The segregation data cube. Fresh from the builder, it carries the
     /// per-unit histograms its cells were computed from (the sufficient
-    /// statistics an updatable snapshot keeps) until it is paired into a
-    /// snapshot by [`snapshot`] or [`ScubeResult::into_snapshot`].
+    /// statistics an updatable snapshot keeps) until [`snapshot`] moves it
+    /// into a snapshot; a [`CubeBuilder::report_only`] build carries none.
     pub cube: SegregationCube,
     /// The encoded final table it was built from.
     pub final_table: TransactionDb,
@@ -181,8 +181,9 @@ pub fn run_final_table_csv(
 pub struct ChunkedBuild {
     /// The segregation data cube. Fresh from the builder, it carries the
     /// per-unit histograms its cells were computed from (the sufficient
-    /// statistics an updatable snapshot keeps) until it is paired into a
-    /// snapshot by [`snapshot_chunked`] or [`ChunkedBuild::into_snapshot`].
+    /// statistics an updatable snapshot keeps) until [`snapshot_chunked`]
+    /// moves it into a snapshot; a [`CubeBuilder::report_only`] build
+    /// carries none.
     pub cube: SegregationCube,
     /// The vertical (item → tidset) view, grown chunk by chunk.
     pub vertical: VerticalDb,
@@ -228,26 +229,10 @@ pub fn run_final_table_csv_chunked(
     Ok(ChunkedBuild { cube: built, vertical, builder: *cube, chunk_stats, timings, stats })
 }
 
-impl ChunkedBuild {
-    /// As [`snapshot_chunked`], by move: the cube, its histograms, and the
-    /// postings go into the snapshot without a copy.
-    pub fn into_snapshot(self) -> Result<CubeSnapshot> {
-        pair(self.cube, self.vertical, &self.builder)
-    }
-}
-
-impl ScubeResult {
-    /// As [`snapshot`], by move: the cube, its histograms, and the
-    /// postings go into the snapshot without a copy.
-    pub fn into_snapshot(self) -> Result<CubeSnapshot> {
-        pair(self.cube, self.vertical, &self.builder)
-    }
-}
-
 /// As [`snapshot`], for a chunked build. Byte-identical to the snapshot of
 /// the equivalent resident run.
-pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
-    pair(result.cube.clone(), result.vertical.clone(), &result.builder)
+pub fn snapshot_chunked(result: ChunkedBuild) -> Result<CubeSnapshot> {
+    pair(result.cube, result.vertical, &result.builder)
 }
 
 /// Package a finished run as a persistable [`CubeSnapshot`]: the cube plus
@@ -256,10 +241,10 @@ pub fn snapshot_chunked(result: &ChunkedBuild) -> Result<CubeSnapshot> {
 /// [`scube_cube::CubeQueryEngine`] serving without re-mining. The run's
 /// build configuration is recorded in the snapshot, so later updates
 /// maintain the cube under the same materialization and Atkinson
-/// parameter. Copies the cube, its histograms, and the postings, leaving
-/// `result` usable; [`ScubeResult::into_snapshot`] moves them instead.
-pub fn snapshot(result: &ScubeResult) -> Result<CubeSnapshot> {
-    pair(result.cube.clone(), result.vertical.clone(), &result.builder)
+/// parameter. The cube, its histograms, and the postings move into the
+/// snapshot without a copy.
+pub fn snapshot(result: ScubeResult) -> Result<CubeSnapshot> {
+    pair(result.cube, result.vertical, &result.builder)
 }
 
 /// Pair a built cube with its postings under the builder's configuration.
@@ -326,15 +311,18 @@ pub fn update_snapshot_file(
 /// Temporal analysis: run the pipeline once per snapshot date.
 ///
 /// Returns `(date, result)` pairs in date order. Uses the dataset's own
-/// `dates` input (Fig. 2).
+/// `dates` input (Fig. 2). The per-date cubes are built
+/// [`CubeBuilder::report_only`], so the returned runs hold no maintenance
+/// stores; [`snapshot`] of one re-derives its store.
 pub fn run_snapshots(dataset: &Dataset, config: &ScubeConfig) -> Result<Vec<(i64, ScubeResult)>> {
+    let config = config.clone().cube(config.cube.report_only(true));
     let mut dates = dataset.dates.clone();
     dates.sort_unstable();
     dates.dedup();
     let mut out = Vec::with_capacity(dates.len());
     for date in dates {
         let snap = dataset.snapshot(date);
-        out.push((date, run(&snap, config)?));
+        out.push((date, run(&snap, &config)?));
     }
     Ok(out)
 }
@@ -458,11 +446,12 @@ mod tests {
         let d = dataset();
         let config = ScubeConfig::new(UnitStrategy::GroupAttribute("sector".into()));
         let result = run(&d, &config).unwrap();
-        let snap = snapshot(&result).unwrap();
+        let cube = result.cube.clone();
+        let snap = snapshot(result).unwrap();
         let loaded: CubeSnapshot = CubeSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(loaded.cube(), &result.cube);
+        assert_eq!(loaded.cube(), &cube);
         let mut engine = scube_cube::CubeQueryEngine::new(loaded);
-        let coords = result.cube.coords_by_names(&[("gender", "F")], &[]).unwrap();
+        let coords = cube.coords_by_names(&[("gender", "F")], &[]).unwrap();
         assert_eq!(engine.query(&coords).unwrap().dissimilarity, Some(1.0));
     }
 
@@ -473,7 +462,9 @@ mod tests {
         let config = ScubeConfig::new(UnitStrategy::GroupAttribute("sector".into()))
             .cube(CubeBuilder::new().materialize(Materialize::ClosedOnly).atkinson_b(0.25));
         let result = run(&d, &config).unwrap();
-        let snap = snapshot(&result).unwrap();
+        let full_rel = crate::table_builder::final_table_relation(&result.final_table);
+        let n_cells = result.cube.len();
+        let snap = snapshot(result).unwrap();
         // The save path must carry the run's configuration, or later
         // updates would maintain a closed cube under AllFrequent rules
         // (and re-evaluate with the wrong Atkinson parameter).
@@ -481,7 +472,6 @@ mod tests {
         assert_eq!(snap.atkinson_b(), 0.25);
         // And a snapshot-path update matches re-running the pipeline on
         // the concatenated final table.
-        let full_rel = crate::table_builder::final_table_relation(&result.final_table);
         let mut updated = snap;
         let batch = UpdateBatch::from_relation(
             &full_rel.slice_rows(0..2),
@@ -490,7 +480,7 @@ mod tests {
         )
         .unwrap();
         updated.apply_update(&batch).unwrap();
-        assert!(updated.cube().len() >= result.cube.len());
+        assert!(updated.cube().len() >= n_cells);
     }
 
     #[test]

@@ -163,6 +163,13 @@ impl Wizard {
         self
     }
 
+    /// Cube parameter: a cube that is only reported, never saved, keeps no
+    /// maintenance store (see [`CubeBuilder::report_only`]).
+    pub fn report_only(mut self, on: bool) -> Self {
+        self.cube = self.cube.report_only(on);
+        self
+    }
+
     /// Assemble and validate the dataset (steps 1–4).
     pub fn dataset(&self) -> Result<Dataset> {
         let (ind_src, ind_spec) = self.individuals.as_ref().ok_or_else(|| {

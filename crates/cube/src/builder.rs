@@ -27,7 +27,9 @@
 //!    steps 3–4 *are* the maintenance store an updatable snapshot keeps.
 //!    It rides on the returned cube until [`crate::CubeSnapshot::new`]
 //!    moves it in, so pairing a fresh cube with its postings runs no
-//!    second histogram pass.
+//!    second histogram pass. A [`CubeBuilder::report_only`] build drops
+//!    each minority list once its cell is folded instead, for cubes that
+//!    are only reported and never saved.
 //!
 //! The parallel build is bit-identical to the serial one: the miner merges
 //! per-subtree outputs deterministically and cell evaluation is pure.
@@ -115,6 +117,7 @@ impl Default for CubeConfig {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CubeBuilder {
     config: CubeConfig,
+    report_only: bool,
 }
 
 impl CubeBuilder {
@@ -153,6 +156,18 @@ impl CubeBuilder {
     /// Toggle parallel mining and histogram evaluation.
     pub fn parallel(mut self, on: bool) -> Self {
         self.config.parallel = on;
+        self
+    }
+
+    /// Build a cube that is only reported, never paired into a snapshot:
+    /// the cube carries no maintenance store, so each cell's minority
+    /// histogram is dropped once the cell is folded. That keeps the
+    /// store's per-unit lists (about as large as the postings) out of the
+    /// build's peak memory. Cell values are unchanged, and a report-only
+    /// cube still pairs: [`crate::CubeSnapshot::new`] then re-derives the
+    /// store from the postings.
+    pub fn report_only(mut self, on: bool) -> Self {
+        self.report_only = on;
         self
     }
 
@@ -313,6 +328,7 @@ impl CubeBuilder {
         // 4. Evaluate cells: one minority histogram per non-⋆-SA cell,
         // folded against its context's populated units.
         let (atkinson_b, measures) = (cfg.atkinson_b, cfg.measures);
+        let keep_store = !self.report_only;
         let evaluated = par_map(owned, n_threads, 256, n_units, |(coords, tids), scratch| {
             let context = &contexts[&coords.ca];
             if coords.sa.is_empty() {
@@ -322,10 +338,11 @@ impl CubeBuilder {
             }
             let minority = histogram(vertical, &tids, scratch);
             let values = values_from_hists(context, &minority, atkinson_b, measures)?;
-            Ok((coords, values, Some(minority)))
+            Ok((coords, values, keep_store.then_some(minority)))
         })?;
 
-        // 5. Emit the maintenance store alongside the cells.
+        // 5. Emit the maintenance store alongside the cells (unless the
+        // build is report-only, which kept no minority lists).
         let mut cells: FxHashMap<CellCoords, IndexValues> =
             scube_common::hash::fx_map_with_capacity(evaluated.len() + 1);
         let mut minorities: FxHashMap<CellCoords, Hist> =
@@ -341,8 +358,11 @@ impl CubeBuilder {
         let values = values_from_hists(population, population, atkinson_b, measures)?;
         cells.insert(apex, values);
 
-        let store = MaintenanceStore { contexts, minorities, lazy: None };
-        Ok(SegregationCube::new(cells, labels, n_units, cfg.min_support).with_store(store))
+        let cube = SegregationCube::new(cells, labels, n_units, cfg.min_support);
+        if !keep_store {
+            return Ok(cube);
+        }
+        Ok(cube.with_store(MaintenanceStore { contexts, minorities, lazy: None }))
     }
 }
 
@@ -474,6 +494,17 @@ mod tests {
                 assert_eq!(parallel.get(coords), Some(v), "threads {threads}");
             }
         }
+    }
+
+    #[test]
+    fn report_only_build_keeps_no_store() {
+        let db = sample_db();
+        let builder = CubeBuilder::new().materialize(Materialize::AllFrequent);
+        let mut full = builder.build(&db).unwrap();
+        let mut report = builder.report_only(true).build(&db).unwrap();
+        assert_eq!(report, full);
+        assert!(full.take_store().is_some());
+        assert!(report.take_store().is_none());
     }
 
     #[test]

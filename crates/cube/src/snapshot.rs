@@ -182,7 +182,8 @@ pub(crate) struct LazyStore {
 
 impl MaintenanceStore {
     /// The store of a cube that carries none — a v1 file, which predates
-    /// the store, or a cube taken apart with [`CubeSnapshot::into_parts`]:
+    /// the store, a report-only build, or a cube taken apart with
+    /// [`CubeSnapshot::into_parts`]:
     /// every context and every non-`⋆`-SA cell tidset re-intersected from
     /// the postings and histogrammed by [`histogram`], the routine the
     /// builder emits the store with.
@@ -327,8 +328,9 @@ impl<P: Posting> CubeSnapshot<P> {
     /// A cube fresh from [`CubeBuilder`] carries the per-unit histograms
     /// its build computed; they move in as the snapshot's maintenance
     /// store, so pairing runs no histogram pass. Pass the vertical
-    /// database the cube was built over. A cube without them (one taken
-    /// apart with [`Self::into_parts`]) has them re-derived from `vertical`.
+    /// database the cube was built over. A cube without them (a
+    /// [`CubeBuilder::report_only`] build, or one taken apart with
+    /// [`Self::into_parts`]) has them re-derived from `vertical`.
     ///
     /// Fails when the two disagree on shape (unit count, item count): a
     /// mismatched pairing would serve materialized lookups from one dataset
@@ -1574,26 +1576,6 @@ mod tests {
             b.add_row(&[vec![s], vec![a], vec![r]], u).unwrap();
         }
         b.finish()
-    }
-
-    #[test]
-    fn built_cube_carries_its_store_into_the_snapshot() {
-        let db = db();
-        for materialize in [Materialize::AllFrequent, Materialize::ClosedOnly] {
-            let vertical: VerticalDb = VerticalDb::build(&db);
-            let builder = CubeBuilder::new().materialize(materialize);
-            let mut cube = builder.build_from_vertical(&db, &vertical).unwrap();
-            let store = cube.take_store().expect("the builder emits the store");
-            assert!(store.covers(&cube), "{materialize:?}");
-            let rederived = MaintenanceStore::rederive(&cube, &vertical);
-            assert_eq!(store.contexts, rederived.contexts, "{materialize:?}");
-            assert_eq!(store.minorities, rederived.minorities, "{materialize:?}");
-            // Pairing moves the store out of the cube.
-            let cube = builder.build_from_vertical(&db, &vertical).unwrap();
-            let snap = CubeSnapshot::new(cube, vertical).unwrap();
-            let (mut cube, _) = snap.into_parts();
-            assert!(cube.take_store().is_none(), "{materialize:?}");
-        }
     }
 
     fn roundtrip<P: Posting + Send + Sync + PartialEq + std::fmt::Debug>() {

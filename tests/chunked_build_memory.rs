@@ -73,19 +73,11 @@ fn main() {
         .parallel(false); // single-threaded for byte-stable peaks
 
     // Chunked first (the colder cache hurts it, not the resident path).
-    // The snapshot is assembled by move — `snapshot_chunked` clones, which
-    // would double-count the output in the peak.
     let (chunked, peak_chunked) = measure(|| {
         let build = run_final_table_csv_chunked(&csv, &spec, &builder, CHUNK_ROWS).unwrap();
         assert_eq!(build.stats.n_rows, ROWS);
         assert!(build.chunk_stats.peak_chunk_rows <= CHUNK_ROWS);
-        let ChunkedBuild { cube, vertical, .. } = build;
-        let cfg = builder.config();
-        CubeSnapshot::new(cube, vertical).unwrap().with_build_config(
-            cfg.materialize,
-            cfg.atkinson_b,
-            cfg.measures,
-        )
+        snapshot_chunked(build).unwrap()
     });
 
     let (resident, peak_resident) = measure(|| {

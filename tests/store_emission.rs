@@ -3,8 +3,8 @@
 //! entry, a from-scratch derivation that re-intersects every context and
 //! cell tidset from the postings — across materializations, serial and
 //! parallel builds, posting representations, and measure sets. A cube
-//! taken apart and re-paired (which re-derives its store) must save to the
-//! same bytes as the freshly built one.
+//! taken apart and re-paired, and a report-only build (both re-derive
+//! their store), must save to the same bytes as the freshly built one.
 
 use std::collections::BTreeMap;
 
@@ -148,7 +148,11 @@ fn check<P: Posting + Send + Sync>(db: &TransactionDb, min_support: u64, materia
             );
 
             let (cube, vertical) = built.into_parts();
-            assert_eq!(pair(cube, vertical).to_bytes(), bytes, "{what}: re-paired bytes");
+            assert_eq!(pair(cube, vertical.clone()).to_bytes(), bytes, "{what}: re-paired bytes");
+
+            let report = builder.report_only(true).build_from_vertical(db, &vertical);
+            let report = pair(report.expect("cube builds"), vertical);
+            assert_eq!(report.to_bytes(), bytes, "{what}: report-only bytes");
 
             match &first {
                 Some(first) => assert_eq!(&bytes, first, "{what}: bytes across threads"),
